@@ -146,7 +146,7 @@ def ehm_bound(e: BernoulliEnsemble) -> float:
     """One-parameter binomial bound: TV(W, Bi(m, l1/m)) in terms of spread."""
     p_arr = e.as_array()
     m = e.m
-    p = float(np.sum(p_arr)) / m
+    p = math.fsum(e.probs) / m
     if p <= 0.0 or p >= 1.0:
         raise DegenerateEnsembleError(f"one-parameter fit degenerate: p = {p:.6g}")
     q = 1.0 - p

@@ -19,8 +19,15 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import distributions as dist_mod
-from .distributions import DegenerateEnsembleError, IntegerDistribution
-from .ensemble import BernoulliEnsemble, make_ensemble, ensemble_from_spec, moments, read_probs_file
+from .distributions import DegenerateEnsembleError, IntegerDistribution, ShiftedBinomialFit
+from .ensemble import (
+    BernoulliEnsemble,
+    MomentSummary,
+    ensemble_from_spec,
+    make_ensemble,
+    moments,
+    read_probs_file,
+)
 from .metrics import loc_distance, tv_distance
 
 __all__ = ["SweepRow", "run_sweep", "approximation_pmf", "main", "entrypoint", "METHODS"]
@@ -62,6 +69,15 @@ def _fmt(x: float) -> str:
 def approximation_pmf(method: str, e: BernoulliEnsemble) -> tuple[IntegerDistribution, dict[str, float]]:
     """Build the named approximation; returns the PMF and fitted parameters."""
     ms = moments(e)
+    fit = dist_mod.fit_shifted_binomial(ms) if method == "shifted-binomial" else None
+    return _approximation(method, e, ms, fit)
+
+
+def _approximation(
+    method: str, e: BernoulliEnsemble, ms: MomentSummary, fit: ShiftedBinomialFit | None
+) -> tuple[IntegerDistribution, dict[str, float]]:
+    """:func:`approximation_pmf` from precomputed moments and, for
+    shifted-binomial, the fit of those moments."""
     if method == "poisson":
         return dist_mod.poisson_pmf(ms.lambda1), {"rate": ms.lambda1}
     if method == "shifted-poisson":
@@ -78,7 +94,6 @@ def approximation_pmf(method: str, e: BernoulliEnsemble) -> tuple[IntegerDistrib
         d = dist_mod.discretized_normal_pmf(ms.lambda1, ms.sigma2, (0, e.m))
         return d, {"mean": ms.lambda1, "variance": ms.sigma2}
     if method == "shifted-binomial":
-        fit = dist_mod.fit_shifted_binomial(ms)
         d = dist_mod.shifted_binomial_pmf(fit)
         params = {
             "n": fit.n, "p": fit.p, "s": fit.s,
@@ -100,12 +115,12 @@ def run_sweep(m: int, grid: Sequence[float]) -> list[SweepRow]:
     for M in grid:
         e = ensemble_from_spec("uniform-spread", m, M)
         ms = moments(e)
+        fit = dist_mod.fit_shifted_binomial(ms)
         exact = dist_mod.exact_pmf(e)
         tv = {
-            name.replace("-", "_"): tv_distance(exact, approximation_pmf(name, e)[0])
+            name.replace("-", "_"): tv_distance(exact, _approximation(name, e, ms, fit)[0])
             for name in METHODS
         }
-        fit = dist_mod.fit_shifted_binomial(ms)
         report = bounds_mod.theorem_bounds(e, ms, fit)
         rows.append(
             SweepRow(

@@ -1,8 +1,8 @@
 """CLI behavior: argument handling, output formats, exit codes, sweep."""
 
 import functools
-import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,11 +192,9 @@ class TestPmfCsv:
             parse_pmf_csv("k,mass\n0,0.5\n2,0.5\n")
 
 
-@pytest.mark.skipif(shutil.which("shiftbinom") is None,
-                    reason="console script not on PATH")
 def test_console_script():
     proc = subprocess.run(
-        ["shiftbinom", "exact", "--probs", "0.5"],
+        [sys.executable, "-m", "shiftbinom.cli", "exact", "--probs", "0.5"],
         capture_output=True, text=True, timeout=60, check=False,
     )
     assert proc.returncode == 0

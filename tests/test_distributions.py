@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import shiftbinom as sb
+import shiftbinom.distributions as dist_mod
 from shiftbinom import (
     DegenerateEnsembleError,
     FitRangeError,
@@ -86,6 +88,71 @@ class TestExactPmf:
             assert d.third_central_moment() == pytest.approx(ms.mu3, abs=1e-10)
 
 
+def _tree_case(kind: str, m: int) -> list[float]:
+    rng = np.random.default_rng(m)
+    if kind == "ramp":
+        return list(np.arange(1, m + 1) / (m + 1))
+    if kind == "beta":
+        return list(rng.beta(0.7, 2.5, m))
+    if kind == "constant":
+        # nearly a point mass at 0, where rounding adds up the most
+        return [1.95e-5] * m
+    # {0,1}-mixed: 40% exact zeros and 40% exact ones around Beta draws
+    probs = rng.beta(2.0, 2.0, m)
+    kind_of = rng.random(m)
+    probs[kind_of < 0.4] = 0.0
+    probs[kind_of > 0.6] = 1.0
+    return list(probs)
+
+
+class TestExactPmfProductTree:
+    """The product tree above the crossover against the retained fold."""
+
+    @pytest.mark.parametrize("kind", ["ramp", "beta", "constant", "mixed"])
+    @pytest.mark.parametrize(
+        "m",
+        [dist_mod._TREE_MIN_M - 1, dist_mod._TREE_MIN_M, dist_mod._TREE_MIN_M + 1, 1000, 5000],
+    )
+    def test_within_contract_of_fold(self, kind, m):
+        probs = _tree_case(kind, m)
+        zeros, ones = probs.count(0.0), probs.count(1.0)
+        got = sb.exact_pmf(make_ensemble(probs))
+        fold = dist_mod._fold_pmf(probs)
+        eps = dist_mod._tree_tolerance(m)
+
+        padded = np.zeros(m + 1)
+        padded[got.offset : got.support_max + 1] = got.pmf
+        assert np.max(np.abs(padded - fold)) <= eps
+        assert np.all(got.pmf >= 0.0)
+        assert got.offset >= ones
+        assert got.support_max <= m - zeros
+        if m >= dist_mod._TREE_MIN_M:
+            # unresolved masses are exact zeros, never noise
+            assert np.all((got.pmf == 0.0) | (got.pmf > eps / 2))
+        if fold[ones] > eps:
+            assert got.offset == ones
+        if fold[m - zeros] > eps:
+            assert got.support_max == m - zeros
+
+    def test_deterministic_summands_shift_exactly(self):
+        m = dist_mod._TREE_MIN_M + 40
+        probs = [1.0] * 150 + [0.3, 0.6, 0.9] + [0.0] * (m - 153)
+        got = sb.exact_pmf(make_ensemble(probs))
+        assert got.offset == 150 and got.support_max == 153
+        np.testing.assert_allclose(got.pmf, sb.exact_pmf(make_ensemble([0.3, 0.6, 0.9])).pmf,
+                                   rtol=0, atol=1e-16)
+        point = sb.exact_pmf(make_ensemble([1.0] * 7 + [0.0] * (m - 7)))
+        assert point.offset == 7 and list(point.pmf) == [1.0]
+
+    def test_negative_residue_beyond_contract_raises(self, monkeypatch):
+        m = dist_mod._TREE_MIN_M
+        noisy = dist_mod._fold_pmf([0.5] * m)
+        noisy[0] = -dist_mod._tree_tolerance(m)
+        monkeypatch.setattr(dist_mod, "_product_tree_pmf", lambda p: noisy.copy())
+        with pytest.raises(ValueError, match="product tree"):
+            sb.exact_pmf(make_ensemble([0.5] * m))
+
+
 class TestBruteForce:
     def test_single_bernoulli(self):
         d = sb.brute_force_pmf(make_ensemble([0.5]))
@@ -127,13 +194,23 @@ class TestShiftedBinomialFit:
         assert fit.frac_n == pytest.approx(0.2, abs=1e-12)
         assert fit.frac_s == pytest.approx(0.4, abs=1e-12)
 
-    @pytest.mark.parametrize("m,p", [(4, 0.5), (10, 0.3), (57, 1 / 3), (200, 0.875)])
+    @pytest.mark.parametrize(
+        "m,p", [(4, 0.5), (10, 0.3), (57, 1 / 3), (200, 0.875), (20000, 0.93)]
+    )
     def test_iid_recovered_exactly(self, m, p):
         """The rounded fit must not drift off integers on i.i.d. input."""
         fit = sb.fit_shifted_binomial(moments(make_ensemble([p] * m)))
         assert (fit.n, fit.s) == (m, 0)
         assert fit.frac_n == 0.0 and fit.frac_s == 0.0
         assert fit.p == pytest.approx(p, abs=1e-12)
+
+    def test_near_integer_solution_still_floors(self):
+        # n* lies 2.6e-6 below 7157 by coincidence, not by rounding
+        e = sb.ensemble_from_spec("uniform-spread", 9463, 0.1)
+        fit = sb.fit_shifted_binomial(moments(e))
+        assert fit.n_star == pytest.approx(7157.0, abs=1e-5)
+        assert fit.n == 7156 and fit.n <= fit.n_star
+        assert fit.s <= fit.s_star and 0.0 <= fit.frac_n < 1.0
 
     def test_mean_always_matched(self):
         rng = np.random.default_rng(13)
@@ -259,6 +336,18 @@ class TestOneParamBinomial:
         np.testing.assert_allclose(d.pmf, [0.25, 0.5, 0.25], atol=1e-15)
         # exact law is [0.09, 0.82, 0.09]
         assert sb.tv_distance(sb.exact_pmf(e), d) == pytest.approx(0.32, abs=1e-13)
+
+    @pytest.mark.parametrize("m", [7, 10])
+    def test_mean_is_the_correctly_rounded_sum(self, m):
+        # builtin sum([0.1] * 10) / 10 and np.sum([0.1] * 7) / 7 both give
+        # 0.09999999999999999; binomial1, ehm_bound and the approx header all
+        # use lambda1 = fsum, which gives the iid mean 0.1 back exactly.
+        e = make_ensemble([0.1] * m)
+        assert moments(e).lambda1 / m == 0.1
+        np.testing.assert_array_equal(
+            sb.one_param_binomial_pmf(e).pmf, stats.binom.pmf(np.arange(m + 1), m, 0.1)
+        )
+        assert sb.ehm_bound(e) == 0.0
 
 
 class TestTwoParamBinomial:
