@@ -88,7 +88,7 @@ def _approximation(
         return dist_mod.one_param_binomial_pmf(e), {"n": e.m, "p": ms.lambda1 / e.m}
     if method == "binomial2":
         d = dist_mod.two_param_binomial_pmf(ms)
-        n = d.support_max
+        n, _ = dist_mod._floor_frac(ms.lambda1**2 / ms.lambda2)
         return d, {"n": n, "p": ms.lambda1 / n}
     if method == "normal":
         d = dist_mod.discretized_normal_pmf(ms.lambda1, ms.sigma2, (0, e.m))

@@ -61,18 +61,25 @@ class MomentSummary:
 def make_ensemble(probs: Sequence[float] | Iterable[float]) -> BernoulliEnsemble:
     """Validate a probability sequence and return it as an ensemble.
 
-    Raises ValueError on an empty sequence or any entry that is non-finite
-    or outside [0, 1], naming the offending index.
+    Raises ValueError on an empty or nested sequence, or on any entry that
+    is non-finite or outside [0, 1], naming the first offending index.
     """
-    values = tuple(float(p) for p in probs)
-    if not values:
+    if not isinstance(probs, (Sequence, np.ndarray)):
+        probs = list(probs)
+    arr = np.asarray(probs, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"probabilities must form a 1-d sequence, got shape {arr.shape}")
+    if arr.size == 0:
         raise ValueError("ensemble must contain at least one probability")
-    for i, p in enumerate(values):
+    # NaN fails both comparisons, so it is caught by isfinite alone
+    bad = np.flatnonzero(~np.isfinite(arr) | (arr < 0.0) | (arr > 1.0))
+    if bad.size:
+        i = int(bad[0])
+        p = float(arr[i])
         if not math.isfinite(p):
             raise ValueError(f"probability at index {i} is not finite: {p!r}")
-        if p < 0.0 or p > 1.0:
-            raise ValueError(f"probability at index {i} is outside [0, 1]: {p!r}")
-    return BernoulliEnsemble(values)
+        raise ValueError(f"probability at index {i} is outside [0, 1]: {p!r}")
+    return BernoulliEnsemble(tuple(arr.tolist()))
 
 
 def moments(e: BernoulliEnsemble) -> MomentSummary:

@@ -81,6 +81,15 @@ class TestApprox:
         d = parse_pmf_csv(out)
         assert d.total_mass() == pytest.approx(1.0, abs=1e-10)
 
+    def test_binomial2_header_gives_the_fitted_trials(self, capsys):
+        # lambda1 = 750 and lambda2 = 250 (to rounding): n = 2250, p = 1/3.
+        # Masses above k = 1644 underflow, so the printed law stops there.
+        assert main(["approx", "--method", "binomial2", "--uniform-spread",
+                     "--m", "3000", "--max-prob", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "# binomial2: n=2250 p=0.333333333333"
+        assert parse_pmf_csv(out).support_max < 2250
+
     @pytest.mark.parametrize("method", sb.cli.METHODS)
     def test_every_method_emits_a_distribution(self, method, capsys):
         assert main(["approx", "--method", method, "--probs", "0.2,0.4,0.6,0.8"]) == 0
@@ -199,3 +208,23 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert proc.stdout == "k,mass\n0,0.5\n1,0.5\n"
+
+
+def test_cli_runs_without_scipy():
+    # The approximation kernels are numpy/math only; importing scipy, even
+    # lazily inside a function, would cost a CLI call most of its time.
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from shiftbinom.cli import METHODS, main",
+        "ens = ['--uniform-spread', '--m', '300', '--max-prob', '0.6']",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for method in METHODS:",
+        "        assert main(['distance', '--method', method] + ens) == 0",
+        "    assert main(['bounds'] + ens) == 0",
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

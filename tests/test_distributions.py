@@ -7,6 +7,7 @@ enumeration oracle.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,7 +346,7 @@ class TestOneParamBinomial:
         e = make_ensemble([0.1] * m)
         assert moments(e).lambda1 / m == 0.1
         np.testing.assert_array_equal(
-            sb.one_param_binomial_pmf(e).pmf, stats.binom.pmf(np.arange(m + 1), m, 0.1)
+            sb.one_param_binomial_pmf(e).pmf, dist_mod._binomial_pmf(m, 0.1).pmf
         )
         assert sb.ehm_bound(e) == 0.0
 
@@ -412,6 +413,92 @@ class TestDiscretizedNormal:
             sb.discretized_normal_pmf(0.0, 0.0, (-5, 5))
         with pytest.raises(ValueError, match="empty support"):
             sb.discretized_normal_pmf(0.0, 1.0, (5, -5))
+
+
+def _mp_law(first: int, last: int, mode: int, mass_at_mode, ratio):
+    """40-digit masses on first..last by the recurrence P(k+1) = P(k)*ratio(k)."""
+    with mpmath.workdps(40):
+        law = {mode: mass_at_mode()}
+        for k in range(mode, last):
+            law[k + 1] = law[k] * ratio(k)
+        for k in range(mode - 1, first - 1, -1):
+            law[k] = law[k + 1] / ratio(k)
+    return law
+
+
+def _mp_poisson(lam: float, last: int = 0) -> dict:
+    """40-digit Poisson masses on 0..last, at least far enough right that
+    the mass beyond is negligible at 40 digits."""
+    lam_mp = mpmath.mpf(lam)
+    mode = math.floor(lam)
+    last = max(last, math.ceil(lam + 40 * math.sqrt(lam) + 60))
+    return _mp_law(0, last, mode,
+                   lambda: mpmath.exp(-lam_mp) * lam_mp**mode / mpmath.factorial(mode),
+                   lambda k: lam_mp / (k + 1))
+
+
+def _mp_binomial(n: int, p: float) -> dict:
+    p_mp = mpmath.mpf(p)
+    mode = math.floor((n + 1) * p)
+    return _mp_law(0, n, mode,
+                   lambda: mpmath.binomial(n, mode) * p_mp**mode * (1 - p_mp) ** (n - mode),
+                   lambda k: (n - k) * p_mp / ((k + 1) * (1 - p_mp)))
+
+
+def _mp_tv(d: IntegerDistribution, law: dict):
+    """TV between d and a 40-digit law whose support covers d's."""
+    with mpmath.workdps(40):
+        inside = [(mpmath.mpf(float(x)), law[k]) for k, x in zip(d.support().tolist(), d.pmf)]
+        outside = 1 - mpmath.fsum(true for _, true in inside)
+        return float((mpmath.fsum(abs(x - true) for x, true in inside) + outside) / 2)
+
+
+class TestApproximationKernels:
+    """The numpy/math binomial, Poisson and normal kernels against references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 255, 1000, 2250, 9999, 15000])
+    def test_binomial_matches_scipy(self, n):
+        for p in [0.0, 1e-6, 1e-3, 0.05, 0.3, 1 / 3, 0.5, 0.7, 0.9, 0.999, 1.0]:
+            ref = IntegerDistribution.from_masses(0, stats.binom.pmf(np.arange(n + 1), n, p))
+            assert sb.tv_distance(dist_mod._binomial_pmf(n, p), ref) <= 1e-14, p
+
+    @pytest.mark.parametrize("n, p", [(3000, 0.3), (400, 1e-3), (1000, 0.999)])
+    def test_binomial_within_contract_of_high_precision(self, n, p):
+        sigma = math.sqrt(n * p * (1 - p))
+        tv = _mp_tv(dist_mod._binomial_pmf(n, p), _mp_binomial(n, p))
+        assert tv <= 2.5 * 2.0**-53 * (sigma + 2)
+
+    def test_binomial_offset_and_point_masses(self):
+        d = dist_mod._binomial_pmf(4, 0.5, offset=-3)
+        assert d.support_min == -3 and d.support_max == 1
+        np.testing.assert_allclose(d.pmf, np.array([1, 4, 6, 4, 1]) / 16, rtol=1e-15)
+        assert list(dist_mod._binomial_pmf(9, 0.0, 5).support()) == [5]
+        assert list(dist_mod._binomial_pmf(9, 1.0, 5).support()) == [14]
+
+    @pytest.mark.parametrize("lam", [0.05, 3.0, 500.0, 7500.0])
+    def test_poisson_matches_high_precision(self, lam):
+        # a floor this low keeps every representable mass
+        d = sb.poisson_pmf(lam, mass_floor=1e-300)
+        assert _mp_tv(d, _mp_poisson(lam, d.support_max)) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [0.05, 3.0, 500.0, 7500.0])
+    def test_poisson_truncation_is_not_renormalised(self, lam):
+        floor = 1e-10
+        d = sb.poisson_pmf(lam, mass_floor=floor)
+        law = _mp_poisson(lam)
+        with mpmath.workdps(40):
+            dropped = mpmath.fsum(x for k, x in law.items() if k > d.support_max)
+            assert dropped <= floor
+            assert dropped + law[d.support_max] > floor  # the first k that qualifies
+            below = mpmath.fsum(x for k, x in law.items() if k < d.support_min)
+            kept = math.fsum(d.pmf)
+            assert abs(kept - float(1 - dropped - below)) <= 1e-15
+
+    def test_normal_cdf_matches_scipy(self):
+        z = np.concatenate([np.linspace(-45.0, 45.0, 90001), [-1.0, 1.0, -5e-324, 5e-324]])
+        assert np.max(np.abs(dist_mod._normal_cdf(z) - stats.norm.cdf(z))) <= 4.4e-16
+        beyond = np.array([-38.5, 8.3, -40.0, 40.0, -1e300, 1e300])
+        assert list(dist_mod._normal_cdf(beyond)) == [0, 1, 0, 1, 0, 1]
 
 
 class TestFractionalLoglik:

@@ -40,6 +40,21 @@ def test_make_ensemble_rejects_non_finite():
         make_ensemble([float("inf")])
 
 
+def test_make_ensemble_reports_first_offending_index():
+    with pytest.raises(ValueError, match=r"index 1 is outside \[0, 1\]: 1.5"):
+        make_ensemble([0.5, 1.5, float("nan")])
+    with pytest.raises(ValueError, match="index 1 is not finite: nan"):
+        make_ensemble(np.array([0.5, float("nan"), -2.0]))
+
+
+def test_make_ensemble_accepts_iterables_and_rejects_nesting():
+    e = make_ensemble(p / 4 for p in range(5))
+    assert e.probs == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert all(type(p) is float for p in make_ensemble(np.array([0.5, 1.0])).probs)
+    with pytest.raises(ValueError, match="1-d"):
+        make_ensemble([[0.1, 0.2]])
+
+
 def test_moments_mixed_ensemble():
     """Power sums of [0.2, 0.4, 0.6, 0.8], checked against direct sums."""
     ms = moments(make_ensemble([0.2, 0.4, 0.6, 0.8]))
