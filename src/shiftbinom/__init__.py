@@ -9,10 +9,12 @@ total-variation and local distances, and computable error bounds.
 from .bounds import BoundReport, corollary_bounds, ehm_bound, theorem_bounds, two_param_bound
 from .distributions import (
     BRUTE_FORCE_MAX_M,
+    METHODS,
     DegenerateEnsembleError,
     FitRangeError,
     IntegerDistribution,
     ShiftedBinomialFit,
+    approximation_pmf,
     brute_force_pmf,
     discretized_normal_pmf,
     exact_pmf,
@@ -57,6 +59,8 @@ __all__ = [
     "one_param_binomial_pmf",
     "two_param_binomial_pmf",
     "discretized_normal_pmf",
+    "METHODS",
+    "approximation_pmf",
     "fractional_binomial_loglik",
     "tv_distance",
     "loc_distance",

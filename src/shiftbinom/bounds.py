@@ -18,7 +18,7 @@ from .distributions import (
     FitRangeError,
     IntegerDistribution,
     ShiftedBinomialFit,
-    _floor_frac,
+    _two_param_params,
 )
 from .ensemble import BernoulliEnsemble, MomentSummary
 
@@ -27,11 +27,7 @@ __all__ = ["BoundReport", "theorem_bounds", "corollary_bounds", "ehm_bound", "tw
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All constituents and final values of the shifted-binomial bounds.
-
-    Degenerate inputs (sigma^2 = 0) produce inf markers plus a note rather
-    than an exception.
-    """
+    """All constituents and final values of the shifted-binomial bounds."""
 
     K: float
     A1: float
@@ -95,14 +91,14 @@ def theorem_bounds(
     BoundReport
         K, A1..A4, eta, the assembled tv/loc bounds, and the simplified
         corollary values.
+
+    Raises
+    ------
+    DegenerateEnsembleError
+        If sigma^2 = 0, where the bounds do not apply.
     """
     if ms.sigma2 <= 0.0:
-        inf = math.inf
-        return BoundReport(
-            K=inf, A1=inf, A2=inf, A3=inf, A4=inf, eta=inf,
-            tv_bound=inf, loc_bound=inf, tv_corollary=inf, loc_corollary=inf,
-            notes=("degenerate: sigma^2 = 0, bounds not applicable",),
-        )
+        raise DegenerateEnsembleError("degenerate ensemble: sigma^2 = 0, bounds not applicable")
     sigma2 = ms.sigma2
     n, p = fit.n, fit.p
     q = 1.0 - p
@@ -163,11 +159,7 @@ def two_param_bound(
     than W, so P(W > n) enters the bound; it is computed exactly from the
     supplied distribution of W rather than estimated.
     """
-    if ms.lambda2 <= 0.0:
-        raise DegenerateEnsembleError("degenerate ensemble: lambda2 = 0")
-    ratio = ms.lambda1**2 / ms.lambda2
-    n, frac = _floor_frac(ratio)
-    p = ms.lambda1 / n
+    n, frac, p = _two_param_params(ms)
     if p >= 1.0:
         raise FitRangeError(f"fit out of range: p = lambda1/n = {p:.6g} not below 1")
     sigma = math.sqrt(ms.sigma2)

@@ -10,19 +10,17 @@ Exit codes: 0 success (including degenerate fits reported with a warning),
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import distributions as dist_mod
-from .distributions import DegenerateEnsembleError, IntegerDistribution, ShiftedBinomialFit
+from .distributions import METHODS, DegenerateEnsembleError, IntegerDistribution, approximation_pmf
 from .ensemble import (
     BernoulliEnsemble,
-    MomentSummary,
     ensemble_from_spec,
     make_ensemble,
     moments,
@@ -32,14 +30,14 @@ from .metrics import loc_distance, tv_distance
 
 __all__ = ["SweepRow", "run_sweep", "approximation_pmf", "main", "entrypoint", "METHODS"]
 
-METHODS = ("poisson", "shifted-poisson", "binomial1", "binomial2", "normal", "shifted-binomial")
-
-SWEEP_HEADER = "M,poisson,shifted_poisson,binomial1,binomial2,normal,shifted_binomial,tv_bound,loc_bound"
-
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep grid point: exact TV per approximation plus theorem bounds."""
+    """One sweep grid point: exact TV per approximation plus theorem bounds.
+
+    The fields are the sweep's CSV columns: the grid point M, one TV per
+    entry of METHODS in its order ('-' written '_'), then the two bounds.
+    """
 
     M: float
     poisson: float
@@ -52,55 +50,15 @@ class SweepRow:
     loc_bound: float
 
     def distances(self) -> dict[str, float]:
-        return {
-            "poisson": self.poisson,
-            "shifted_poisson": self.shifted_poisson,
-            "binomial1": self.binomial1,
-            "binomial2": self.binomial2,
-            "normal": self.normal,
-            "shifted_binomial": self.shifted_binomial,
-        }
+        """The TV columns, by field name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:-2]}
+
+
+SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def approximation_pmf(method: str, e: BernoulliEnsemble) -> tuple[IntegerDistribution, dict[str, float]]:
-    """Build the named approximation; returns the PMF and fitted parameters."""
-    ms = moments(e)
-    fit = dist_mod.fit_shifted_binomial(ms) if method == "shifted-binomial" else None
-    return _approximation(method, e, ms, fit)
-
-
-def _approximation(
-    method: str, e: BernoulliEnsemble, ms: MomentSummary, fit: ShiftedBinomialFit | None
-) -> tuple[IntegerDistribution, dict[str, float]]:
-    """:func:`approximation_pmf` from precomputed moments and, for
-    shifted-binomial, the fit of those moments."""
-    if method == "poisson":
-        return dist_mod.poisson_pmf(ms.lambda1), {"rate": ms.lambda1}
-    if method == "shifted-poisson":
-        d = dist_mod.shifted_poisson_pmf(ms)
-        shift, frac = dist_mod._floor_frac(ms.lambda1 - ms.sigma2)
-        return d, {"shift": shift, "rate": ms.sigma2 + frac}
-    if method == "binomial1":
-        return dist_mod.one_param_binomial_pmf(e), {"n": e.m, "p": ms.lambda1 / e.m}
-    if method == "binomial2":
-        d = dist_mod.two_param_binomial_pmf(ms)
-        n, _ = dist_mod._floor_frac(ms.lambda1**2 / ms.lambda2)
-        return d, {"n": n, "p": ms.lambda1 / n}
-    if method == "normal":
-        d = dist_mod.discretized_normal_pmf(ms.lambda1, ms.sigma2, (0, e.m))
-        return d, {"mean": ms.lambda1, "variance": ms.sigma2}
-    if method == "shifted-binomial":
-        d = dist_mod.shifted_binomial_pmf(fit)
-        params = {
-            "n": fit.n, "p": fit.p, "s": fit.s,
-            "n*": fit.n_star, "p*": fit.p_star, "s*": fit.s_star,
-        }
-        return d, params
-    raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
 
 
 def run_sweep(m: int, grid: Sequence[float]) -> list[SweepRow]:
@@ -117,35 +75,15 @@ def run_sweep(m: int, grid: Sequence[float]) -> list[SweepRow]:
         ms = moments(e)
         fit = dist_mod.fit_shifted_binomial(ms)
         exact = dist_mod.exact_pmf(e)
-        tv = {
-            name.replace("-", "_"): tv_distance(exact, _approximation(name, e, ms, fit)[0])
-            for name in METHODS
-        }
+        tvs = [tv_distance(exact, approximation_pmf(name, e, ms, fit)[0]) for name in METHODS]
         report = bounds_mod.theorem_bounds(e, ms, fit)
-        rows.append(
-            SweepRow(
-                M=M,
-                poisson=tv["poisson"],
-                shifted_poisson=tv["shifted_poisson"],
-                binomial1=tv["binomial1"],
-                binomial2=tv["binomial2"],
-                normal=tv["normal"],
-                shifted_binomial=tv["shifted_binomial"],
-                tv_bound=report.tv_bound,
-                loc_bound=report.loc_bound,
-            )
-        )
+        rows.append(SweepRow(M, *tvs, report.tv_bound, report.loc_bound))
     return rows
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
     lines = [SWEEP_HEADER]
-    for r in rows:
-        d = r.distances()
-        cells = [r.M, d["poisson"], d["shifted_poisson"], d["binomial1"],
-                 d["binomial2"], d["normal"], d["shifted_binomial"],
-                 r.tv_bound, r.loc_bound]
-        lines.append(",".join(_fmt(c) for c in cells))
+    lines.extend(",".join(_fmt(c) for c in astuple(r)) for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -239,29 +177,21 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _na(x: float) -> str:
-    return "n/a" if math.isinf(x) else _fmt(x)
+# The BoundReport values the bounds report prints, in order.
+_BOUND_NAMES = ("K", "A1", "A2", "A3", "A4", "eta", "tv_bound", "loc_bound",
+                "tv_corollary", "loc_corollary")
 
 
 def _cmd_bounds(e: BernoulliEnsemble) -> int:
     ms = moments(e)
-    lines = []
     try:
         fit = dist_mod.fit_shifted_binomial(ms)
+        report = bounds_mod.theorem_bounds(e, ms, fit)
     except DegenerateEnsembleError as exc:
         print(f"warning: {exc}", file=sys.stderr)
-        for name in ("K", "A1", "A2", "A3", "A4", "eta", "tv_bound", "loc_bound",
-                     "tv_corollary", "loc_corollary"):
-            lines.append(f"{name},n/a")
-        print("\n".join(lines))
+        print("\n".join(f"{name},n/a" for name in _BOUND_NAMES))
         return 0
-    report = bounds_mod.theorem_bounds(e, ms, fit)
-    for name in ("K", "A1", "A2", "A3", "A4", "eta"):
-        lines.append(f"{name},{_na(getattr(report, name))}")
-    lines.append(f"tv_bound,{_na(report.tv_bound)}")
-    lines.append(f"loc_bound,{_na(report.loc_bound)}")
-    lines.append(f"tv_corollary,{_na(report.tv_corollary)}")
-    lines.append(f"loc_corollary,{_na(report.loc_corollary)}")
+    lines = [f"{name},{_fmt(getattr(report, name))}" for name in _BOUND_NAMES]
     try:
         lines.append(f"ehm_bound,{_fmt(bounds_mod.ehm_bound(e))}")
     except DegenerateEnsembleError:

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import BernoulliEnsemble, MomentSummary
+from .ensemble import BernoulliEnsemble, MomentSummary, moments
 
 __all__ = [
+    "METHODS",
+    "approximation_pmf",
     "IntegerDistribution",
     "ShiftedBinomialFit",
     "DegenerateEnsembleError",
@@ -35,16 +37,13 @@ __all__ = [
 
 BRUTE_FORCE_MAX_M = 20
 
-# Default rounding slop (relative) when splitting a value into integer and
-# fractional parts. Values that are integers in exact arithmetic (such as
-# lambda1^2/lambda2 on i.i.d. input) carry float rounding; without the snap,
-# floor() would land one below.
-_INT_SNAP = 1e-9
+# The approximations approximation_pmf builds, in the sweep's column order.
+METHODS = ("poisson", "shifted-poisson", "binomial1", "binomial2", "normal", "shifted-binomial")
 
-# The fit's snap window for n* and s*, in units of the rounding error each
-# carries (see fit_shifted_binomial). On 3400 iid and {p,1} ensembles with
-# up to 2e5 summands, the distance to the integer stayed within 0.77 units.
-_FIT_SNAP_UNITS = 16.0
+# _floor_frac's snap window, in units of the rounding error the value
+# carries. On 3400 iid and {p,1} ensembles with up to 2e5 summands, the fit's
+# n* and s* stayed within 0.77 units of their integers.
+_SNAP_UNITS = 16.0
 
 
 class DegenerateEnsembleError(ValueError):
@@ -145,14 +144,16 @@ class ShiftedBinomialFit:
     frac_s: float
 
 
-def _floor_frac(x: float, slop: float | None = None) -> tuple[int, float]:
-    # Snap to the nearest integer when within slop (by default _INT_SNAP,
-    # relative), so that analytically-integer solutions are not split as
-    # (k-1, 0.999...).
+def _floor_frac(x: float, scale: float | None = None) -> tuple[int, float]:
+    """(floor(x), x - floor(x)), with x snapped to the nearest integer when
+    within _SNAP_UNITS ulps of ``scale`` (by default |x|), the rounding an x
+    computed from values of that size carries. Values that are integers in
+    exact arithmetic (lambda1^2/lambda2 on iid input) are then not split as
+    (k-1, 0.999...), while one that merely lies near an integer still floors.
+    """
     nearest = round(x)
-    if slop is None:
-        slop = _INT_SNAP * max(1.0, abs(x))
-    if abs(x - nearest) <= slop:
+    scale = abs(x) if scale is None else scale
+    if abs(x - nearest) <= _SNAP_UNITS * np.finfo(float).eps * scale:
         return int(nearest), 0.0
     f = math.floor(x)
     return int(f), x - f
@@ -315,9 +316,8 @@ def fit_shifted_binomial(ms: MomentSummary) -> ShiftedBinomialFit:
     cancel = (
         (ms.lambda2 + ms.lambda3) / (ms.lambda2 - ms.lambda3) * (1.0 + 1.0 / (1.0 - p_star))
     )
-    snap = _FIT_SNAP_UNITS * np.finfo(float).eps
-    n, frac_n = _floor_frac(n_star, snap * n_star * cancel)
-    s, frac_s = _floor_frac(s_star, snap * (abs(ms.lambda1) + n_star * p_star * cancel))
+    n, frac_n = _floor_frac(n_star, n_star * cancel)
+    s, frac_s = _floor_frac(s_star, abs(ms.lambda1) + n_star * p_star * cancel)
     if n < 1:
         raise FitRangeError(f"fit out of range: n* = {n_star:.6g} rounds below 1")
     p = (ms.lambda1 - s) / n
@@ -397,16 +397,20 @@ def _outward_from_mode(down: np.ndarray, up: np.ndarray) -> np.ndarray:
     return masses / masses.sum()
 
 
-def poisson_pmf(lam: float, mass_floor: float = 1e-14) -> IntegerDistribution:
-    """Poisson(lam) truncated where the right tail drops below mass_floor.
+# poisson_pmf drops the right tail from the first k with P(X > k) at most this.
+_POISSON_TAIL = 1e-14
+
+
+def poisson_pmf(lam: float) -> IntegerDistribution:
+    """Poisson(lam) truncated where the right tail drops below _POISSON_TAIL.
 
     The masses are built as in :func:`_binomial_pmf`: from the mode
     floor(lam) outward with the ratio recurrence P(k+1)/P(k) = lam/(k+1),
     over the window where they are representable, and normalised by their
     sum. The right tail is then dropped from the first k with
-    P(X > k) <= mass_floor on (the tail summed from the right). The masses
-    kept are not renormalised: the dropped mass stays below mass_floor and
-    is absorbed by distance tolerances downstream.
+    P(X > k) <= _POISSON_TAIL = 1e-14 on (the tail summed from the right).
+    The masses kept are not renormalised: the dropped mass stays below
+    _POISSON_TAIL and is absorbed by distance tolerances downstream.
 
     Error contract: each step rounds twice (the ratio and the running
     product) and nothing rounds coherently, so the kept masses are within
@@ -416,8 +420,6 @@ def poisson_pmf(lam: float, mass_floor: float = 1e-14) -> IntegerDistribution:
     """
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
-    if not (0.0 < mass_floor <= 1e-10):
-        raise ValueError(f"mass_floor must be in (0, 1e-10], got {mass_floor}")
     if lam == 0.0:
         return IntegerDistribution.from_masses(0, np.ones(1))
     lo, hi = _recurrence_window(lam, lam, 0, math.inf)
@@ -428,21 +430,27 @@ def poisson_pmf(lam: float, mass_floor: float = 1e-14) -> IntegerDistribution:
     # above[i] = P(X > lo + i); keep masses up to the first k where it is
     # within the floor (the last entry, 0, always is).
     above = np.append(np.cumsum(masses[:0:-1])[::-1], 0.0)
-    kmax = int(np.argmax(above <= mass_floor))
+    kmax = int(np.argmax(above <= _POISSON_TAIL))
     return IntegerDistribution.from_masses(lo, masses[: kmax + 1])
 
 
-def shifted_poisson_pmf(ms: MomentSummary, mass_floor: float = 1e-14) -> IntegerDistribution:
+def _shifted_poisson_params(ms: MomentSummary) -> tuple[int, float]:
+    """Shift floor(l1 - sigma^2) and rate sigma^2 plus the fractional remainder."""
+    if ms.sigma2 <= 0.0:
+        raise DegenerateEnsembleError("degenerate ensemble: sigma^2 = 0")
+    # l1 and sigma^2 each carry rounding relative to their own size
+    shift, frac = _floor_frac(ms.lambda1 - ms.sigma2, ms.lambda1 + ms.sigma2)
+    return shift, ms.sigma2 + frac
+
+
+def shifted_poisson_pmf(ms: MomentSummary) -> IntegerDistribution:
     """Translated Poisson matching the first two moments.
 
     Shift s = floor(l1 - sigma^2); rate picks up the fractional remainder so
     the mean is matched exactly and the variance overshoots by less than 1.
     """
-    if ms.sigma2 <= 0.0:
-        raise DegenerateEnsembleError("degenerate ensemble: sigma^2 = 0")
-    shift, frac = _floor_frac(ms.lambda1 - ms.sigma2)
-    rate = ms.sigma2 + frac
-    base = poisson_pmf(rate, mass_floor)
+    shift, rate = _shifted_poisson_params(ms)
+    base = poisson_pmf(rate)
     return IntegerDistribution(offset=base.offset + shift, pmf=base.pmf)
 
 
@@ -451,12 +459,17 @@ def one_param_binomial_pmf(e: BernoulliEnsemble) -> IntegerDistribution:
     return _binomial_pmf(e.m, math.fsum(e.probs) / e.m)
 
 
-def two_param_binomial_pmf(ms: MomentSummary) -> IntegerDistribution:
-    """Binomial with n = floor(l1^2/l2) and p = l1/n (two-moment match)."""
+def _two_param_params(ms: MomentSummary) -> tuple[int, float, float]:
+    """n = floor(l1^2/l2), the fractional part it drops, and p = l1/n."""
     if ms.lambda2 <= 0.0:
         raise DegenerateEnsembleError("degenerate ensemble: lambda2 = 0")
-    n, _ = _floor_frac(ms.lambda1**2 / ms.lambda2)
-    p = ms.lambda1 / n
+    n, frac = _floor_frac(ms.lambda1**2 / ms.lambda2)
+    return n, frac, ms.lambda1 / n
+
+
+def two_param_binomial_pmf(ms: MomentSummary) -> IntegerDistribution:
+    """Binomial with n = floor(l1^2/l2) and p = l1/n (two-moment match)."""
+    n, _, p = _two_param_params(ms)
     if p > 1.0:
         raise FitRangeError(f"fit out of range: p = lambda1/n = {p:.6g} exceeds 1")
     return _binomial_pmf(n, p)
@@ -503,6 +516,42 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     inner = (z > _NORMAL_CDF_ZERO) & (z < _NORMAL_CDF_ONE)
     cdf[inner] = [0.5 * math.erfc(x) for x in (z[inner] * -math.sqrt(0.5)).tolist()]
     return cdf
+
+
+def approximation_pmf(
+    method: str,
+    e: BernoulliEnsemble,
+    ms: MomentSummary | None = None,
+    fit: ShiftedBinomialFit | None = None,
+) -> tuple[IntegerDistribution, dict[str, float]]:
+    """Build the named approximation of e's sum; returns the PMF and its parameters.
+
+    ``ms`` (the moments of e) and, for shifted-binomial, ``fit`` (the fit of
+    ms) are computed when not passed in.
+    """
+    ms = moments(e) if ms is None else ms
+    if method == "poisson":
+        return poisson_pmf(ms.lambda1), {"rate": ms.lambda1}
+    if method == "shifted-poisson":
+        shift, rate = _shifted_poisson_params(ms)
+        return shifted_poisson_pmf(ms), {"shift": shift, "rate": rate}
+    if method == "binomial1":
+        return one_param_binomial_pmf(e), {"n": e.m, "p": ms.lambda1 / e.m}
+    if method == "binomial2":
+        d = two_param_binomial_pmf(ms)
+        n, _, p = _two_param_params(ms)
+        return d, {"n": n, "p": p}
+    if method == "normal":
+        d = discretized_normal_pmf(ms.lambda1, ms.sigma2, (0, e.m))
+        return d, {"mean": ms.lambda1, "variance": ms.sigma2}
+    if method == "shifted-binomial":
+        fit = fit_shifted_binomial(ms) if fit is None else fit
+        params = {
+            "n": fit.n, "p": fit.p, "s": fit.s,
+            "n*": fit.n_star, "p*": fit.p_star, "s*": fit.s_star,
+        }
+        return shifted_binomial_pmf(fit), params
+    raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
 
 
 def fractional_binomial_loglik(x: int, n: float, p: float) -> float:

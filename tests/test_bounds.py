@@ -82,7 +82,7 @@ class TestTheoremBounds:
         assert sb.tv_distance(exact, approx) <= rep.tv_bound
         assert sb.loc_distance(exact, approx) <= rep.loc_bound
 
-    def test_degenerate_marks_infinite(self):
+    def test_degenerate_raises(self):
         ms = MomentSummary(
             lambda1=3.0, lambda2=3.0, lambda3=3.0, lambda4=3.0,
             sigma2=0.0, mu3=0.0, v=0.0, v_star=0.0,
@@ -90,9 +90,8 @@ class TestTheoremBounds:
         fit = ShiftedBinomialFit(
             n_star=1.0, p_star=0.5, s_star=0.0, n=1, s=0, p=0.5, frac_n=0.0, frac_s=0.0
         )
-        rep = sb.theorem_bounds(make_ensemble([1.0, 1.0, 1.0]), ms, fit)
-        assert math.isinf(rep.tv_bound) and math.isinf(rep.loc_bound)
-        assert any("degenerate" in n for n in rep.notes)
+        with pytest.raises(DegenerateEnsembleError, match="sigma\\^2 = 0"):
+            sb.theorem_bounds(make_ensemble([1.0, 1.0, 1.0]), ms, fit)
 
     def test_eta_below_exponential_caps(self):
         rng = np.random.default_rng(22)
@@ -211,6 +210,17 @@ class TestTwoParamBound:
             exact = sb.exact_pmf(e)
             tv = sb.tv_distance(exact, sb.two_param_binomial_pmf(ms))
             assert tv <= sb.two_param_bound(e, ms, exact) + 1e-12
+
+    def test_dominates_when_trials_lie_just_below_an_integer(self):
+        # l1^2/l2 = 999.999999889: a relative snap of 1e-9 rounded it up to
+        # n = 1000 and dropped the rounding term, leaving a bound of 6.5e-12
+        # under a TV of 1.2e-11.
+        e = make_ensemble([0.3] * 999 + [0.3001])
+        ms = moments(e)
+        exact = sb.exact_pmf(e)
+        d, params = sb.approximation_pmf("binomial2", e, ms)
+        assert params["n"] == 999
+        assert sb.tv_distance(exact, d) <= sb.two_param_bound(e, ms, exact)
 
     def test_success_probability_at_one_rejected(self):
         e = make_ensemble([1.0, 0.98])

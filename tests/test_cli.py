@@ -1,5 +1,6 @@
 """CLI behavior: argument handling, output formats, exit codes, sweep."""
 
+import dataclasses
 import functools
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import shiftbinom as sb
 from shiftbinom.cli import (
     SWEEP_HEADER,
+    SweepRow,
     main,
     parse_pmf_csv,
     pmf_csv,
@@ -178,6 +180,23 @@ class TestSweep:
                      "--out", str(path)]) == 0
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == SWEEP_HEADER and len(lines) == 4
+
+
+class TestRegistry:
+    def test_sweep_columns_follow_methods(self):
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        assert names[0] == "M" and names[-2:] == ["tv_bound", "loc_bound"]
+        assert names[1:-2] == [m.replace("-", "_") for m in sb.METHODS]
+        assert SWEEP_HEADER == ",".join(names)
+
+    def test_cli_binds_the_library_registry(self):
+        assert sb.METHODS is sb.cli.METHODS
+        assert sb.approximation_pmf is sb.cli.approximation_pmf
+
+    def test_unknown_method_names_every_method(self):
+        with pytest.raises(ValueError, match="bogus") as info:
+            sb.approximation_pmf("bogus", sb.make_ensemble([0.2, 0.4]))
+        assert all(m in str(info.value) for m in sb.METHODS)
 
 
 class TestPmfCsv:

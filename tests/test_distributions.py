@@ -293,10 +293,6 @@ class TestPoissonPmf:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="rate"):
             sb.poisson_pmf(-1.0)
-        with pytest.raises(ValueError, match="mass_floor"):
-            sb.poisson_pmf(1.0, mass_floor=1e-3)
-        with pytest.raises(ValueError, match="mass_floor"):
-            sb.poisson_pmf(1.0, mass_floor=0.0)
 
 
 class TestShiftedPoissonPmf:
@@ -385,6 +381,22 @@ class TestTwoParamBinomial:
             sb.two_param_binomial_pmf(moments(make_ensemble([0.0, 0.0])))
 
 
+class TestFloorFrac:
+    def test_near_integer_floors(self):
+        n, frac = dist_mod._floor_frac(123456.99999)
+        assert n == 123456 and frac == pytest.approx(0.99999, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "m, p, shift", [(12, 0.3, 1), (100, 0.1, 1), (4, 0.5, 1), (20000, 0.93, 17298)]
+    )
+    def test_iid_two_moment_parameters_snap(self, m, p, shift):
+        # l1^2/l2 = m exactly, and l1 - sigma^2 = m*p^2, both up to rounding
+        ms = moments(make_ensemble([p] * m))
+        n, frac, p_fit = dist_mod._two_param_params(ms)
+        assert (n, frac) == (m, 0.0) and p_fit == pytest.approx(p, rel=1e-14)
+        assert dist_mod._shifted_poisson_params(ms)[0] == shift
+
+
 class TestDiscretizedNormal:
     def test_standard_cell_masses(self):
         d = sb.discretized_normal_pmf(0.0, 1.0, (-5, 5))
@@ -426,12 +438,12 @@ def _mp_law(first: int, last: int, mode: int, mass_at_mode, ratio):
     return law
 
 
-def _mp_poisson(lam: float, last: int = 0) -> dict:
-    """40-digit Poisson masses on 0..last, at least far enough right that
-    the mass beyond is negligible at 40 digits."""
+def _mp_poisson(lam: float) -> dict:
+    """40-digit Poisson masses on 0..last, far enough right that the mass
+    beyond is negligible at 40 digits."""
     lam_mp = mpmath.mpf(lam)
     mode = math.floor(lam)
-    last = max(last, math.ceil(lam + 40 * math.sqrt(lam) + 60))
+    last = math.ceil(lam + 40 * math.sqrt(lam) + 60)
     return _mp_law(0, last, mode,
                    lambda: mpmath.exp(-lam_mp) * lam_mp**mode / mpmath.factorial(mode),
                    lambda k: lam_mp / (k + 1))
@@ -477,14 +489,21 @@ class TestApproximationKernels:
 
     @pytest.mark.parametrize("lam", [0.05, 3.0, 500.0, 7500.0])
     def test_poisson_matches_high_precision(self, lam):
-        # a floor this low keeps every representable mass
-        d = sb.poisson_pmf(lam, mass_floor=1e-300)
-        assert _mp_tv(d, _mp_poisson(lam, d.support_max)) <= 1e-15
+        # every mass returned, plus the true mass left of the support; the
+        # right tail dropped by truncation is bounded in the next test
+        d = sb.poisson_pmf(lam)
+        law = _mp_poisson(lam)
+        with mpmath.workdps(40):
+            inside = mpmath.fsum(
+                abs(mpmath.mpf(float(x)) - law[k]) for k, x in zip(d.support().tolist(), d.pmf)
+            )
+            left = mpmath.fsum(x for k, x in law.items() if k < d.support_min)
+            assert float(inside / 2 + left) <= 1e-15
 
     @pytest.mark.parametrize("lam", [0.05, 3.0, 500.0, 7500.0])
     def test_poisson_truncation_is_not_renormalised(self, lam):
-        floor = 1e-10
-        d = sb.poisson_pmf(lam, mass_floor=floor)
+        floor = 1e-14  # poisson_pmf's fixed tail floor
+        d = sb.poisson_pmf(lam)
         law = _mp_poisson(lam)
         with mpmath.workdps(40):
             dropped = mpmath.fsum(x for k, x in law.items() if k > d.support_max)
