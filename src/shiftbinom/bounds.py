@@ -20,7 +20,7 @@ from .distributions import (
     ShiftedBinomialFit,
     _two_param_params,
 )
-from .ensemble import BernoulliEnsemble, MomentSummary
+from .ensemble import BernoulliEnsemble, MomentSummary, moments
 
 __all__ = ["BoundReport", "theorem_bounds", "corollary_bounds", "ehm_bound", "two_param_bound"]
 
@@ -138,11 +138,15 @@ def corollary_bounds(ms: MomentSummary, fit: ShiftedBinomialFit) -> tuple[float,
     return tv, loc
 
 
-def ehm_bound(e: BernoulliEnsemble) -> float:
-    """One-parameter binomial bound: TV(W, Bi(m, l1/m)) in terms of spread."""
+def ehm_bound(e: BernoulliEnsemble, ms: MomentSummary | None = None) -> float:
+    """One-parameter binomial bound: TV(W, Bi(m, l1/m)) in terms of spread.
+
+    ``ms`` (the moments of e) is computed when not passed in.
+    """
+    ms = moments(e) if ms is None else ms
     p_arr = e.as_array()
     m = e.m
-    p = math.fsum(e.probs) / m
+    p = ms.lambda1 / m
     if p <= 0.0 or p >= 1.0:
         raise DegenerateEnsembleError(f"one-parameter fit degenerate: p = {p:.6g}")
     q = 1.0 - p

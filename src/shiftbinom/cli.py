@@ -94,21 +94,6 @@ def pmf_csv(d: IntegerDistribution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_pmf_csv(text: str) -> IntegerDistribution:
-    """Inverse of :func:`pmf_csv`; expects contiguous k values."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "k,mass":
-        raise ValueError("expected header 'k,mass'")
-    ks, masses = [], []
-    for ln in lines[1:]:
-        k_str, mass_str = ln.split(",", 1)
-        ks.append(int(k_str))
-        masses.append(float(mass_str))
-    if ks != list(range(ks[0], ks[0] + len(ks))):
-        raise ValueError("support values must be contiguous")
-    return IntegerDistribution.from_masses(ks[0], np.asarray(masses))
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; this tool reserves 2 for
     # computation errors and uses 1 for usage.
@@ -193,7 +178,7 @@ def _cmd_bounds(e: BernoulliEnsemble) -> int:
         return 0
     lines = [f"{name},{_fmt(getattr(report, name))}" for name in _BOUND_NAMES]
     try:
-        lines.append(f"ehm_bound,{_fmt(bounds_mod.ehm_bound(e))}")
+        lines.append(f"ehm_bound,{_fmt(bounds_mod.ehm_bound(e, ms))}")
     except DegenerateEnsembleError:
         lines.append("ehm_bound,n/a")
     try:

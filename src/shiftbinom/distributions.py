@@ -454,9 +454,15 @@ def shifted_poisson_pmf(ms: MomentSummary) -> IntegerDistribution:
     return IntegerDistribution(offset=base.offset + shift, pmf=base.pmf)
 
 
-def one_param_binomial_pmf(e: BernoulliEnsemble) -> IntegerDistribution:
-    """Binomial(m, l1/m): trials fixed at m, p matched to the mean."""
-    return _binomial_pmf(e.m, math.fsum(e.probs) / e.m)
+def one_param_binomial_pmf(
+    e: BernoulliEnsemble, ms: MomentSummary | None = None
+) -> IntegerDistribution:
+    """Binomial(m, l1/m): trials fixed at m, p matched to the mean.
+
+    ``ms`` (the moments of e) is computed when not passed in.
+    """
+    ms = moments(e) if ms is None else ms
+    return _binomial_pmf(e.m, ms.lambda1 / e.m)
 
 
 def _two_param_params(ms: MomentSummary) -> tuple[int, float, float]:
@@ -536,7 +542,7 @@ def approximation_pmf(
         shift, rate = _shifted_poisson_params(ms)
         return shifted_poisson_pmf(ms), {"shift": shift, "rate": rate}
     if method == "binomial1":
-        return one_param_binomial_pmf(e), {"n": e.m, "p": ms.lambda1 / e.m}
+        return one_param_binomial_pmf(e, ms), {"n": e.m, "p": ms.lambda1 / e.m}
     if method == "binomial2":
         d = two_param_binomial_pmf(ms)
         n, _, p = _two_param_params(ms)

@@ -72,6 +72,19 @@ class TestTheoremBounds:
         assert rep.tv_bound == 0.0 and rep.loc_bound == 0.0
         assert rep.K == pytest.approx((1 - 2 * 0.5**21) / 5.0, rel=1e-15)
 
+    @pytest.mark.parametrize("M", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [1_000, 10_000, 100_000])
+    def test_dominates_exact_distance_at_scale(self, m, M):
+        """TV <= tv_bound up to the computed TV's own error: the exact law's
+        eps(m) and the binomial kernel's 2.5 u (sigma + 2), u = 2**-53."""
+        e = sb.ensemble_from_spec("uniform-spread", m, M)
+        ms = moments(e)
+        fit = sb.fit_shifted_binomial(ms)
+        rep = sb.theorem_bounds(e, ms, fit)
+        tv = sb.tv_distance(sb.exact_pmf(e), sb.shifted_binomial_pmf(fit))
+        kernel = 2.5 * 2.0**-53 * (math.sqrt(fit.n * fit.p * (1.0 - fit.p)) + 2.0)
+        assert tv <= rep.tv_bound + sb.distributions._tree_tolerance(m) + kernel
+
     def test_dominates_exact_distance_on_ramp(self):
         e = sb.ensemble_from_spec("uniform-spread", 100, 1.0)
         ms = moments(e)

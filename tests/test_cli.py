@@ -13,11 +13,25 @@ from shiftbinom.cli import (
     SWEEP_HEADER,
     SweepRow,
     main,
-    parse_pmf_csv,
     pmf_csv,
     run_sweep,
     sweep_csv,
 )
+
+
+def parse_pmf_csv(text: str) -> sb.IntegerDistribution:
+    """Inverse of :func:`pmf_csv`; expects contiguous k values."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not lines or lines[0] != "k,mass":
+        raise ValueError("expected header 'k,mass'")
+    ks, masses = [], []
+    for ln in lines[1:]:
+        k_str, mass_str = ln.split(",", 1)
+        ks.append(int(k_str))
+        masses.append(float(mass_str))
+    if ks != list(range(ks[0], ks[0] + len(ks))):
+        raise ValueError("support values must be contiguous")
+    return sb.IntegerDistribution.from_masses(ks[0], np.asarray(masses))
 
 
 @functools.lru_cache(maxsize=1)

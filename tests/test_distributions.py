@@ -5,6 +5,7 @@ asserted directly; everything m <= 20 is cross-checked against the
 enumeration oracle.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -213,6 +214,38 @@ class TestShiftedBinomialFit:
         assert fit.n == 7156 and fit.n <= fit.n_star
         assert fit.s <= fit.s_star and 0.0 <= fit.frac_n < 1.0
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=600),
+            st.builds(
+                lambda p, m: [p] * m,
+                st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+                st.integers(min_value=2, max_value=2000),
+            ),
+            st.builds(
+                lambda p, m, ones: [p] * m + [1.0] * ones,
+                st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+                st.integers(min_value=2, max_value=2000),
+                st.integers(min_value=1, max_value=50),
+            ),
+        )
+    )
+    def test_floor_rounding_invariants(self, probs):
+        """0 <= frac_n, frac_s < 1, n <= n* and s <= s* on every accepted fit.
+
+        Floor rounding holds up to the snap: an n* or s* within the rounding
+        it carries of an integer is that integer, with frac 0 (iid [0.3]*12
+        gives n* = 11.999999999999998 and n = 12).
+        """
+        try:
+            fit = sb.fit_shifted_binomial(moments(make_ensemble(probs)))
+        except (DegenerateEnsembleError, FitRangeError):
+            return
+        assert 0.0 <= fit.frac_n < 1.0 and 0.0 <= fit.frac_s < 1.0
+        for value, star, frac in ((fit.n, fit.n_star, fit.frac_n), (fit.s, fit.s_star, fit.frac_s)):
+            assert value <= star or (frac == 0.0 and value == round(star)), (value, star)
+
     def test_mean_always_matched(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
@@ -340,11 +373,17 @@ class TestOneParamBinomial:
         # 0.09999999999999999; binomial1, ehm_bound and the approx header all
         # use lambda1 = fsum, which gives the iid mean 0.1 back exactly.
         e = make_ensemble([0.1] * m)
-        assert moments(e).lambda1 / m == 0.1
-        np.testing.assert_array_equal(
-            sb.one_param_binomial_pmf(e).pmf, dist_mod._binomial_pmf(m, 0.1).pmf
-        )
-        assert sb.ehm_bound(e) == 0.0
+        ms = moments(e)
+        assert ms.lambda1 / m == 0.1
+        for law in (sb.one_param_binomial_pmf(e), sb.one_param_binomial_pmf(e, ms)):
+            np.testing.assert_array_equal(law.pmf, dist_mod._binomial_pmf(m, 0.1).pmf)
+        assert sb.ehm_bound(e) == 0.0 and sb.ehm_bound(e, ms) == 0.0
+
+    def test_mean_is_read_from_the_given_moments(self):
+        e = make_ensemble([0.2, 0.4, 0.6, 0.8])
+        ms = dataclasses.replace(moments(e), lambda1=1.0)
+        assert sb.one_param_binomial_pmf(e, ms).mean() == pytest.approx(1.0, abs=1e-14)
+        assert sb.ehm_bound(e, ms) != sb.ehm_bound(e)
 
 
 class TestTwoParamBinomial:
