@@ -106,10 +106,10 @@ def moments(e: BernoulliEnsemble) -> MomentSummary:
 
     Every sum is correctly rounded: each field is bit for bit the value
     ``math.fsum`` gives over the same double terms p, p*p, p**3, p**4, p*q,
-    p*q*(q-p) and min(p, q), q = 1 - p; v_star is the largest min(p, q). sigma^2
-    and mu3 are summed per element instead of differencing power sums. Both
-    matter: the fit's exactness guarantees (iid recovery, p_i in {p, 1}
-    families) sit at the last floating-point digit, where pairwise
+    p*q*(q-p) and min(p, q), q = 1 - p; v_star is the largest min(p, q).
+    sigma^2 and mu3 are summed per element instead of differencing power
+    sums. Both matter: the fit's exactness guarantees (iid recovery, p_i in
+    {p, 1} families) sit at the last floating-point digit, where pairwise
     summation and cancellation between near-equal power sums already cost
     more than the tolerance.
 
@@ -124,24 +124,15 @@ def moments(e: BernoulliEnsemble) -> MomentSummary:
     q = 1.0 - p
     pq = p * q
     pq_min = np.minimum(p, q)
-    # |pq * (q - p)| <= pq elementwise, as |q - p| <= 1, so the sum of the
-    # sigma^2 terms bounds the absolute sum of the mu3 terms.
-    lambda1, lambda2, lambda3, lambda4, sigma2, mu3, v = _correctly_rounded_sums(
+    # In MomentSummary field order. |pq * (q - p)| <= pq elementwise, as
+    # |q - p| <= 1, so the sigma^2 terms' sum bounds the mu3 terms' |sum|.
+    sums = _correctly_rounded_sums(
         (lambda: p, lambda: p * p, lambda: p**3, lambda: p**4,
          lambda: pq, lambda: pq * (q - p), lambda: pq_min),
         e.m,
         abs_bound_rows=(0, 1, 2, 3, 4, 4, 6),
     )
-    return MomentSummary(
-        lambda1=lambda1,
-        lambda2=lambda2,
-        lambda3=lambda3,
-        lambda4=lambda4,
-        sigma2=sigma2,
-        mu3=mu3,
-        v=v,
-        v_star=float(np.max(pq_min)),
-    )
+    return MomentSummary(*sums, v_star=float(np.max(pq_min)))
 
 
 # From this many summands on, _correctly_rounded_sums folds in np.longdouble
