@@ -18,6 +18,7 @@ from .distributions import (
     brute_force_pmf,
     discretized_normal_pmf,
     exact_pmf,
+    exact_pmfs,
     fit_shifted_binomial,
     fractional_binomial_loglik,
     one_param_binomial_pmf,
@@ -35,6 +36,7 @@ from .ensemble import (
     read_probs_file,
 )
 from .metrics import loc_distance, tv_distance
+from .sweep import SWEEP_HEADER, SweepRow, run_sweep, sweep_csv
 
 __version__ = "0.1.0"
 
@@ -51,6 +53,7 @@ __all__ = [
     "FitRangeError",
     "BRUTE_FORCE_MAX_M",
     "exact_pmf",
+    "exact_pmfs",
     "brute_force_pmf",
     "fit_shifted_binomial",
     "shifted_binomial_pmf",
@@ -69,5 +72,9 @@ __all__ = [
     "corollary_bounds",
     "ehm_bound",
     "two_param_bound",
+    "SweepRow",
+    "SWEEP_HEADER",
+    "run_sweep",
+    "sweep_csv",
     "__version__",
 ]

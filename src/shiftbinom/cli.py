@@ -1,4 +1,4 @@
-"""Command-line interface and the benchmark sweep harness.
+"""Command-line interface: flag parsing and output formatting.
 
 Subcommands: ``exact``, ``approx``, ``distance``, ``bounds``, ``sweep``.
 All output is plain text or CSV; plotting is left to external tools.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -27,64 +26,12 @@ from .ensemble import (
     read_probs_file,
 )
 from .metrics import loc_distance, tv_distance
+from .sweep import SWEEP_HEADER, SweepRow, _fmt, run_sweep, sweep_csv
 
-__all__ = ["SweepRow", "run_sweep", "approximation_pmf", "main", "entrypoint", "METHODS"]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep grid point: exact TV per approximation plus theorem bounds.
-
-    The fields are the sweep's CSV columns: the grid point M, one TV per
-    entry of METHODS in its order ('-' written '_'), then the two bounds.
-    """
-
-    M: float
-    poisson: float
-    shifted_poisson: float
-    binomial1: float
-    binomial2: float
-    normal: float
-    shifted_binomial: float
-    tv_bound: float
-    loc_bound: float
-
-    def distances(self) -> dict[str, float]:
-        """The TV columns, by field name."""
-        return {f.name: getattr(self, f.name) for f in fields(self)[1:-2]}
-
-
-SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def run_sweep(m: int, grid: Sequence[float]) -> list[SweepRow]:
-    """Exact TV of all six approximations across a max-probability grid.
-
-    Rows are deterministic functions of (m, grid); each uses the
-    uniform-spread ensemble p_i = i*M/(m+1).
-    """
-    if m < 2:
-        raise ValueError(f"sweep needs m >= 2, got {m}")
-    rows = []
-    for M in grid:
-        e = ensemble_from_spec("uniform-spread", m, M)
-        ms = moments(e)
-        fit = dist_mod.fit_shifted_binomial(ms)
-        exact = dist_mod.exact_pmf(e)
-        tvs = [tv_distance(exact, approximation_pmf(name, e, ms, fit)[0]) for name in METHODS]
-        report = bounds_mod.theorem_bounds(e, ms, fit)
-        rows.append(SweepRow(M, *tvs, report.tv_bound, report.loc_bound))
-    return rows
-
-
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    lines.extend(",".join(_fmt(c) for c in astuple(r)) for r in rows)
-    return "\n".join(lines) + "\n"
+__all__ = [
+    "SweepRow", "SWEEP_HEADER", "run_sweep", "sweep_csv", "approximation_pmf", "main",
+    "entrypoint", "METHODS",
+]
 
 
 def pmf_csv(d: IntegerDistribution) -> str:
@@ -216,6 +163,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "bounds":
             return _cmd_bounds(_ensemble_from_args(parser, args))
         if args.command == "sweep":
+            if args.grid_points < 1:
+                parser.error(f"--grid-points must be at least 1, got {args.grid_points}")
             grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
             rows = run_sweep(args.m, [float(M) for M in grid])
             _emit(sweep_csv(rows), args.out)

@@ -48,6 +48,8 @@ class TestInputSelection:
             ["exact", "--probs", "0.5", "--probs-file", "x.txt"],
             ["approx", "--method", "nope", "--probs", "0.5"],
             ["distance", "--probs", "0.5", "--method", "poisson", "--metric", "l7"],
+            ["sweep", "--grid-points", "-3"],
+            ["sweep", "--grid-points", "0"],
         ],
     )
     def test_usage_errors_exit_1(self, argv, capsys):
@@ -206,6 +208,8 @@ class TestRegistry:
     def test_cli_binds_the_library_registry(self):
         assert sb.METHODS is sb.cli.METHODS
         assert sb.approximation_pmf is sb.cli.approximation_pmf
+        for name in ("run_sweep", "SweepRow", "SWEEP_HEADER", "sweep_csv"):
+            assert getattr(sb.cli, name) is getattr(sb.sweep, name) is getattr(sb, name)
 
     def test_unknown_method_names_every_method(self):
         with pytest.raises(ValueError, match="bogus") as info:

@@ -90,6 +90,85 @@ class TestExactPmf:
             assert d.third_central_moment() == pytest.approx(ms.mu3, abs=1e-10)
 
 
+def _reference_fold(probs) -> np.ndarray:
+    """Masses on 0..m, folding one Bernoulli at a time into the running PMF."""
+    dist = np.array([1.0])
+    for p in probs:
+        grown = np.empty(len(dist) + 1)
+        grown[0] = dist[0] * (1.0 - p)
+        grown[1:-1] = dist[1:] * (1.0 - p) + dist[:-1] * p
+        grown[-1] = dist[-1] * p
+        dist = grown
+    return dist
+
+
+def _fold_family(kind: str, m: int) -> np.ndarray:
+    rng = np.random.default_rng([m, len(kind)])
+    if kind == "ramp":
+        return np.arange(1, m + 1) / (m + 1)
+    if kind == "beta":
+        return rng.beta(0.5, 0.5, m)
+    if kind == "constant":
+        return np.full(m, 1.95e-5)
+    if kind == "seventh-power":
+        return rng.random(m) ** 7
+    if kind == "mixed":
+        probs = rng.beta(2.0, 2.0, m)
+        kind_of = rng.random(m)
+        probs[kind_of < 0.4] = 0.0
+        probs[kind_of > 0.6] = 1.0
+        return probs
+    return 10.0 ** rng.uniform(-300.0, 0.0, m)
+
+
+FOLD_FAMILIES = ("ramp", "beta", "constant", "seventh-power", "mixed", "log-uniform")
+
+
+class TestFold:
+    """The 2-D fold against the one-row-at-a-time reference, bit for bit."""
+
+    def test_every_row_matches_the_reference(self):
+        for m in range(1, dist_mod._TREE_MIN_M):
+            probs = np.stack([_fold_family(kind, m) for kind in FOLD_FAMILIES])
+            folded = dist_mod._fold_pmf(probs)
+            assert folded.shape == (len(FOLD_FAMILIES), m + 1)
+            for kind, row, got in zip(FOLD_FAMILIES, probs, folded):
+                want = _reference_fold(row.tolist())
+                assert got.tobytes() == want.tobytes(), (kind, m)
+            single = dist_mod._fold_pmf(probs[:1])[0]
+            assert single.tobytes() == _reference_fold(probs[0].tolist()).tobytes()
+
+    def test_exact_pmf_below_the_tree_is_the_fold(self):
+        for m in (1, 2, 57, dist_mod._TREE_MIN_M - 1):
+            probs = _fold_family("beta", m)
+            want = IntegerDistribution.from_masses(0, _reference_fold(probs.tolist()))
+            got = sb.exact_pmf(make_ensemble(probs))
+            assert got.offset == want.offset and got.pmf.tobytes() == want.pmf.tobytes()
+
+
+def _same_law(a: IntegerDistribution, b: IntegerDistribution) -> bool:
+    return a.offset == b.offset and a.pmf.tobytes() == b.pmf.tobytes()
+
+
+class TestExactPmfs:
+    """exact_pmfs gives exact_pmf's law for each ensemble, whichever path it takes."""
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[40] * 20, [1] * 3, [255] * 4, [30, 31, 30], [5, 300, 5], [256] * 3, [1000, 1000], [300]],
+    )
+    def test_law_by_law(self, sizes):
+        ensembles = [make_ensemble(_fold_family(FOLD_FAMILIES[i % 6], m))
+                     for i, m in enumerate(sizes)]
+        got = sb.exact_pmfs(ensembles)
+        assert len(got) == len(ensembles)
+        for e, law in zip(ensembles, got):
+            assert _same_law(law, sb.exact_pmf(e))
+
+    def test_empty(self):
+        assert sb.exact_pmfs([]) == []
+
+
 def _tree_case(kind: str, m: int) -> list[float]:
     rng = np.random.default_rng(m)
     if kind == "ramp":
@@ -119,7 +198,7 @@ class TestExactPmfProductTree:
         probs = _tree_case(kind, m)
         zeros, ones = probs.count(0.0), probs.count(1.0)
         got = sb.exact_pmf(make_ensemble(probs))
-        fold = dist_mod._fold_pmf(probs)
+        fold = _reference_fold(probs)
         eps = dist_mod._tree_tolerance(m)
 
         padded = np.zeros(m + 1)
@@ -148,7 +227,7 @@ class TestExactPmfProductTree:
 
     def test_negative_residue_beyond_contract_raises(self, monkeypatch):
         m = dist_mod._TREE_MIN_M
-        noisy = dist_mod._fold_pmf([0.5] * m)
+        noisy = _reference_fold([0.5] * m)
         noisy[0] = -dist_mod._tree_tolerance(m)
         monkeypatch.setattr(dist_mod, "_product_tree_pmf", lambda p: noisy.copy())
         with pytest.raises(ValueError, match="product tree"):
